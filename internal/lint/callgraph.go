@@ -24,7 +24,8 @@ import (
 // On top of the graph, Program offers a cycle-aware bottom-up fixpoint
 // (Fixpoint) for per-function effect summaries — recursion simply
 // iterates until the summaries stop growing. Analyzers reconstruct
-// witness call chains from the steps their summaries record.
+// witness call chains from the steps their summaries record
+// (witnessChain).
 
 // Program is the whole-program view handed to RunProgram analyzers.
 type Program struct {
@@ -291,4 +292,19 @@ func (prog *Program) Fixpoint(update func(n *FuncNode) bool) {
 			return
 		}
 	}
+}
+
+// witnessChain reconstructs the call chain behind a summary entry:
+// starting at fn, next(f) names the callee through which f acquired the
+// effect, or nil once f performs it directly (or has no entry). It
+// returns the names of the functions along the chain, fn first, and the
+// last function reached; a revisited function ends the chain.
+func witnessChain(fn *types.Func, next func(*types.Func) *types.Func) (names []string, last *types.Func) {
+	seen := map[*types.Func]bool{}
+	for f := fn; f != nil && !seen[f]; f = next(f) {
+		seen[f] = true
+		names = append(names, f.Name())
+		last = f
+	}
+	return names, last
 }

@@ -46,6 +46,25 @@
 //     (readU32 and friends) is a finding unless audited with
 //     //hennlint:err-ok.
 //
+// The analyzers share three engines and supply only what their
+// invariant is about:
+//
+//   - the flow engine (flow.go): one forward statement walker that owns
+//     branches, loops, switch/select clauses, breaks and terminating
+//     statements over an analyzer's lattice (clone for a branch, join
+//     at a merge), with hooks for leaf statements, expressions evaluated
+//     for effect, the function exit and the end of a loop body. The
+//     pairing engine (pairing.go: polypool, refbalance, obsdiscipline's
+//     lifecycles), lockguard and lockorder run on it; one recognizer
+//     (matchLockCall) serves both lock analyzers.
+//   - the taint engine (taint.go): a per-function assignment-chain
+//     fixpoint and structural propagation that stops at calls, shared by
+//     secretflow and obsdiscipline's label check, each supplying its
+//     sources, pass-through calls and sinks.
+//   - the whole-program engine (callgraph.go): a CHA call graph with a
+//     summary fixpoint and witness chains, for lockorder, errsink and
+//     obsdiscipline's read-path check.
+//
 // The suite runs as `make lint` (via cmd/hennlint) and is enforced in CI.
 // It is built directly on go/ast and go/types — the module vendors no
 // dependencies, so the go/analysis framework is intentionally not used;
@@ -130,7 +149,7 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Run applies the analyzers to every package and returns the combined
-// diagnostics sorted by position. Per-package Run hooks see each package
+// diagnostics sorted by position, analyzer and message. Per-package Run hooks see each package
 // in turn; RunProgram hooks run once over the shared call graph of the
 // whole package set.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
@@ -179,7 +198,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 	return diags, nil
 }

@@ -16,8 +16,8 @@ import (
 // mutex field mu of some other struct Type (the scheduler's lock guards
 // per-session turn state, the Registry's lock guards family state).
 //
-// Lock state is tracked flow-sensitively per function, in the style of
-// the pairing engine: Lock/RLock add the mutex to the held set
+// Lock state is tracked flow-sensitively per function on the shared
+// flow walker (flow.go): Lock/RLock add the mutex to the held set
 // (exclusive/shared), Unlock/RUnlock remove it, a deferred unlock keeps
 // it held through every return, and control-flow joins widen
 // disagreeing states to "maybe held", which is deliberately not
@@ -90,10 +90,10 @@ func (st lockFlow) clone() lockFlow {
 	return out
 }
 
-// merge joins two branch states in place into st. A lock held on only
-// one arm, or with different modes, widens to maybe — definitely-held
-// and definitely-unheld are the only states the checks act on.
-func (st lockFlow) merge(other lockFlow) {
+// join merges another branch's state into st in place. A lock held on
+// only one arm, or with different modes, widens to maybe — definitely-
+// held and definitely-unheld are the only states the checks act on.
+func (st lockFlow) join(other lockFlow) {
 	for k, h := range st {
 		o, ok := other[k]
 		if !ok {
@@ -114,15 +114,6 @@ func (st lockFlow) merge(other lockFlow) {
 	}
 }
 
-func replaceLocks(dst, src lockFlow) {
-	for k := range dst {
-		delete(dst, k)
-	}
-	for k, v := range src {
-		dst[k] = v
-	}
-}
-
 // demote returns a copy of st with every lock widened to maybe: the
 // state handed to a closure body, which may run under the lock (a
 // locked-region helper) or long after it was released (a pool task).
@@ -140,6 +131,7 @@ func runLockguard(p *Pass) error {
 		guarded:  map[*types.Var]guardRef{},
 		reported: map[string]bool{},
 	}
+	g.flow = &flow[lockFlow, *heldLock]{leaf: g.leaf, expr: g.scanRead, exit: g.checkReturn}
 	g.collectGuardedFields()
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
@@ -153,7 +145,7 @@ func runLockguard(p *Pass) error {
 				// Package-level function literals (var hooks).
 				ast.Inspect(d, func(n ast.Node) bool {
 					if fl, ok := n.(*ast.FuncLit); ok {
-						g.analyzeBody(fl.Body, lockFlow{})
+						g.flow.run(fl.Body, lockFlow{})
 						return false
 					}
 					return true
@@ -166,6 +158,7 @@ func runLockguard(p *Pass) error {
 
 type lockguardPass struct {
 	p       *Pass
+	flow    *flow[lockFlow, *heldLock]
 	guarded map[*types.Var]guardRef
 	// reported dedups diagnostics per file:line:field so one statement
 	// touching a field on both sides of `=` reports once.
@@ -322,7 +315,7 @@ func (g *lockguardPass) analyzeFunc(fd *ast.FuncDecl) {
 			g.assumeHeld(fd, ref, st)
 		}
 	}
-	g.analyzeBody(fd.Body, st)
+	g.flow.run(fd.Body, st)
 }
 
 // assumeHeld seeds st with an annotation-asserted lock. A sibling-form
@@ -345,27 +338,11 @@ func (g *lockguardPass) assumeHeld(fd *ast.FuncDecl, ref guardRef, st lockFlow) 
 	st[exprKey(g.p.Info, recv)+"."+ref.field] = h
 }
 
-func (g *lockguardPass) analyzeBody(body *ast.BlockStmt, st lockFlow) {
-	terminated := g.walkStmts(body.List, st)
-	if !terminated {
-		g.checkReturn(st, body.End())
-	}
-}
-
-func (g *lockguardPass) walkStmts(stmts []ast.Stmt, st lockFlow) bool {
-	for _, s := range stmts {
-		if g.walkStmt(s, st) {
-			return true
-		}
-	}
-	return false
-}
-
-func (g *lockguardPass) walkStmt(s ast.Stmt, st lockFlow) (terminated bool) {
+// leaf interprets the statements the walker hands back: lock effects
+// of calls, guarded reads and writes, and the path ending at panic
+// (panicking while holding a lock is not a leak).
+func (g *lockguardPass) leaf(s ast.Stmt, st lockFlow) bool {
 	switch s := s.(type) {
-	case *ast.BlockStmt:
-		return g.walkStmts(s.List, st)
-
 	case *ast.AssignStmt:
 		for _, r := range s.Rhs {
 			g.scanRead(r, st)
@@ -391,7 +368,7 @@ func (g *lockguardPass) walkStmt(s ast.Stmt, st lockFlow) (terminated bool) {
 				for _, arg := range call.Args {
 					g.scanRead(arg, st)
 				}
-				return true // panicking while holding a lock is not a leak
+				return true
 			}
 			g.handleCall(call, st)
 			return false
@@ -415,151 +392,26 @@ func (g *lockguardPass) walkStmt(s ast.Stmt, st lockFlow) (terminated bool) {
 
 	case *ast.IncDecStmt:
 		g.handleWrite(s.X, st)
-
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			g.scanRead(r, st)
-		}
-		g.checkReturn(st, s.Pos())
-		return true
-
-	case *ast.BranchStmt:
-		// break/continue/goto: leave this path conservatively.
-		return true
-
-	case *ast.IfStmt:
-		if s.Init != nil {
-			g.walkStmt(s.Init, st)
-		}
-		g.scanRead(s.Cond, st)
-		thenSt := st.clone()
-		thenTerm := g.walkStmt(s.Body, thenSt)
-		if s.Else != nil {
-			elseSt := st.clone()
-			elseTerm := g.walkStmt(s.Else, elseSt)
-			switch {
-			case thenTerm && elseTerm:
-				return true
-			case thenTerm:
-				replaceLocks(st, elseSt)
-			case elseTerm:
-				replaceLocks(st, thenSt)
-			default:
-				replaceLocks(st, thenSt)
-				st.merge(elseSt)
-			}
-			return false
-		}
-		if !thenTerm {
-			st.merge(thenSt)
-		}
-
-	case *ast.ForStmt:
-		if s.Init != nil {
-			g.walkStmt(s.Init, st)
-		}
-		if s.Cond != nil {
-			g.scanRead(s.Cond, st)
-		}
-		bodySt := st.clone()
-		bodyTerm := g.walkStmt(s.Body, bodySt)
-		if s.Post != nil {
-			g.walkStmt(s.Post, bodySt)
-		}
-		if !bodyTerm {
-			st.merge(bodySt)
-		}
-
-	case *ast.RangeStmt:
-		g.scanRead(s.X, st)
-		bodySt := st.clone()
-		bodyTerm := g.walkStmt(s.Body, bodySt)
-		if !bodyTerm {
-			st.merge(bodySt)
-		}
-
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			g.walkStmt(s.Init, st)
-		}
-		if s.Tag != nil {
-			g.scanRead(s.Tag, st)
-		}
-		g.walkCases(s.Body, st)
-
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			g.walkStmt(s.Init, st)
-		}
-		g.walkCases(s.Body, st)
-
-	case *ast.SelectStmt:
-		g.walkCases(s.Body, st)
-
-	case *ast.LabeledStmt:
-		return g.walkStmt(s.Stmt, st)
-
-	case *ast.EmptyStmt:
 	}
 	return false
-}
-
-// walkCases mirrors the pairing engine: every clause runs on a copy of
-// the incoming state, survivors merge (plus the fall-past path when no
-// default exists).
-func (g *lockguardPass) walkCases(body *ast.BlockStmt, st lockFlow) {
-	var out []lockFlow
-	hasDefault := false
-	for _, c := range body.List {
-		var stmts []ast.Stmt
-		switch c := c.(type) {
-		case *ast.CaseClause:
-			if c.List == nil {
-				hasDefault = true
-			}
-			for _, e := range c.List {
-				g.scanRead(e, st)
-			}
-			stmts = c.Body
-		case *ast.CommClause:
-			if c.Comm == nil {
-				hasDefault = true
-			}
-			stmts = c.Body
-		}
-		caseSt := st.clone()
-		if c, ok := c.(*ast.CommClause); ok && c.Comm != nil {
-			g.walkStmt(c.Comm, caseSt)
-		}
-		if !g.walkStmts(stmts, caseSt) {
-			out = append(out, caseSt)
-		}
-	}
-	if len(out) == 0 {
-		return
-	}
-	first := out[0]
-	for _, o := range out[1:] {
-		first.merge(o)
-	}
-	if !hasDefault {
-		first.merge(st)
-	}
-	replaceLocks(st, first)
 }
 
 // handleCall applies a statement-level call's lock effects, or scans it
 // for guarded accesses.
 func (g *lockguardPass) handleCall(call *ast.CallExpr, st lockFlow) {
-	if eff, ok := g.lockEffect(call); ok {
-		switch eff.method {
-		case "Lock":
-			st[eff.key] = &heldLock{mode: lockExcl, typeName: eff.typeName, field: eff.field, name: eff.name, pos: call.Pos()}
-		case "RLock":
-			st[eff.key] = &heldLock{mode: lockShared, typeName: eff.typeName, field: eff.field, name: eff.name, pos: call.Pos()}
-		case "Unlock", "RUnlock":
-			delete(st, eff.key)
+	if lc, ok := matchLockCall(g.p.Info, call); ok {
+		if !lc.acquire() {
+			delete(st, g.lockKey(lc))
+			return
 		}
+		h := &heldLock{mode: lockExcl, field: lc.field, name: types.ExprString(lc.mutex), pos: call.Pos()}
+		if lc.method == "RLock" {
+			h.mode = lockShared
+		}
+		if lc.owner != nil {
+			h.typeName = namedTypeName(g.p.Info.TypeOf(lc.owner))
+		}
+		st[g.lockKey(lc)] = h
 		return
 	}
 	// delete(x.f, k) and close(x.f) mutate the container: writes.
@@ -579,11 +431,9 @@ func (g *lockguardPass) handleCall(call *ast.CallExpr, st lockFlow) {
 // lock held through every return, which is the correct discipline, so
 // the lock is exempt from the return-while-locked check.
 func (g *lockguardPass) handleDefer(call *ast.CallExpr, st lockFlow) {
-	if eff, ok := g.lockEffect(call); ok {
-		if eff.method == "Unlock" || eff.method == "RUnlock" {
-			if h := st[eff.key]; h != nil {
-				h.deferred = true
-			}
+	if lc, ok := matchLockCall(g.p.Info, call); ok {
+		if h := st[g.lockKey(lc)]; h != nil && !lc.acquire() {
+			h.deferred = true
 		}
 		return
 	}
@@ -596,14 +446,14 @@ func (g *lockguardPass) handleDefer(call *ast.CallExpr, st lockFlow) {
 			if !ok {
 				return true
 			}
-			if eff, ok := g.lockEffect(inner); ok && (eff.method == "Unlock" || eff.method == "RUnlock") {
-				if h := st[eff.key]; h != nil {
+			if lc, ok := matchLockCall(g.p.Info, inner); ok && !lc.acquire() {
+				if h := st[g.lockKey(lc)]; h != nil {
 					h.deferred = true
 				}
 			}
 			return true
 		})
-		g.analyzeBody(fl.Body, st.demote())
+		g.flow.run(fl.Body, st.demote())
 		return
 	}
 	for _, arg := range call.Args {
@@ -612,50 +462,60 @@ func (g *lockguardPass) handleDefer(call *ast.CallExpr, st lockFlow) {
 	g.scanRead(call.Fun, st)
 }
 
-// lockEffectInfo describes one mutex method call.
-type lockEffectInfo struct {
-	key      string
-	method   string
-	typeName string // named type of the mutex's owner
-	field    string
-	name     string
+// lockCall is one recognized mutex method call: mu.Lock() and its
+// siblings, on a mutex field (owner.mu) or any other mutex expression.
+type lockCall struct {
+	method string   // Lock, RLock, Unlock or RUnlock
+	mutex  ast.Expr // the receiver expression as written
+	owner  ast.Expr // x when the mutex is the field selection x.mu, else nil
+	field  string   // the mutex field or plain variable name, else ""
+	recv   string   // the method's receiver type name: Mutex or RWMutex
 }
 
-// lockEffect matches mu.Lock()/Unlock()/RLock()/RUnlock() where mu is a
-// field selector (owner.mu) or a plain mutex variable, and the method's
-// receiver type is named Mutex or RWMutex.
-func (g *lockguardPass) lockEffect(call *ast.CallExpr) (lockEffectInfo, bool) {
+func (lc lockCall) acquire() bool { return lc.method == "Lock" || lc.method == "RLock" }
+
+// matchLockCall matches mu.Lock()/Unlock()/RLock()/RUnlock() whose
+// method's receiver type is named Mutex or RWMutex. It is the one lock
+// recognizer: lockguard keys its held set on the result (lockKey),
+// lockorder derives the lock class from it (lockCall.class).
+func matchLockCall(info *types.Info, call *ast.CallExpr) (lockCall, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return lockEffectInfo{}, false
+		return lockCall{}, false
 	}
-	method := sel.Sel.Name
-	switch method {
+	switch sel.Sel.Name {
 	case "Lock", "Unlock", "RLock", "RUnlock":
 	default:
-		return lockEffectInfo{}, false
+		return lockCall{}, false
 	}
-	fn := calleeFunc(g.p.Info, call)
+	fn := calleeFunc(info, call)
 	if fn == nil {
-		return lockEffectInfo{}, false
+		return lockCall{}, false
 	}
 	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil || !isMutexTypeName(namedTypeName(sig.Recv().Type())) {
-		return lockEffectInfo{}, false
+	if !ok || sig.Recv() == nil {
+		return lockCall{}, false
 	}
-	eff := lockEffectInfo{method: method, name: types.ExprString(sel.X)}
+	lc := lockCall{method: sel.Sel.Name, mutex: sel.X, recv: namedTypeName(sig.Recv().Type())}
+	if !isMutexTypeName(lc.recv) {
+		return lockCall{}, false
+	}
 	switch mu := ast.Unparen(sel.X).(type) {
 	case *ast.SelectorExpr:
-		eff.key = exprKey(g.p.Info, mu.X) + "." + mu.Sel.Name
-		eff.field = mu.Sel.Name
-		eff.typeName = namedTypeName(g.p.Info.TypeOf(mu.X))
-	default:
-		eff.key = exprKey(g.p.Info, sel.X)
-		if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
-			eff.field = id.Name
-		}
+		lc.owner, lc.field = mu.X, mu.Sel.Name
+	case *ast.Ident:
+		lc.field = mu.Name
 	}
-	return eff, true
+	return lc, true
+}
+
+// lockKey keys a lock call's mutex in the held set: the owner's key plus
+// the field for owner.mu, the mutex expression's own key otherwise.
+func (g *lockguardPass) lockKey(lc lockCall) string {
+	if lc.owner != nil {
+		return exprKey(g.p.Info, lc.owner) + "." + lc.field
+	}
+	return exprKey(g.p.Info, lc.mutex)
 }
 
 // handleWrite checks the target of an assignment, ++/--, delete or
@@ -696,7 +556,7 @@ func (g *lockguardPass) scanRead(e ast.Expr, st lockFlow) {
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			g.analyzeBody(n.Body, st.demote())
+			g.flow.run(n.Body, st.demote())
 			return false
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
@@ -775,7 +635,7 @@ func (g *lockguardPass) findHeld(s *ast.SelectorExpr, ref guardRef, st lockFlow)
 // checkReturn reports locks provably still held at a return (or at the
 // end of the function body) that were acquired in this function with no
 // deferred unlock: the early-return-while-locked bug.
-func (g *lockguardPass) checkReturn(st lockFlow, pos token.Pos) {
+func (g *lockguardPass) checkReturn(st lockFlow, pos token.Pos, _ []ast.Expr) {
 	for _, h := range st {
 		if h.mode == lockMaybe || h.deferred || h.annot {
 			continue

@@ -14,9 +14,11 @@ import (
 // (registry.Registry.mu), a package-level variable, or a function-local
 // name — and every acquires-while-holding pair observed anywhere in the
 // program becomes a directed edge in one global lock-order graph:
-// flow-sensitive tracking of the held set inside each function (Lock /
-// RLock acquire, Unlock / RUnlock release, deferred unlocks hold to
-// function end) combined with per-function transitive may-acquire
+// flow-sensitive tracking of the held set inside each function on the
+// shared flow walker (Lock / RLock acquire, Unlock / RUnlock release,
+// deferred unlocks hold to function end; joins union, so a lock held on
+// some path into a merge counts as held) combined with per-function
+// transitive may-acquire
 // summaries over the shared call graph, computed to a cycle-aware
 // fixpoint, so an edge forms when lock B is taken while A is held even
 // when the acquisition is buried several calls deep. A cycle in the
@@ -149,10 +151,11 @@ func buildLockOrder(prog *Program) *lockOrderState {
 			if site.Go || site.InClosure {
 				continue
 			}
-			if op, ok := lockOp(n.Pkg, funcDisplayName(n.Decl), site.Call); ok {
-				if op.acquire {
-					if _, have := sum[op.class]; !have {
-						sum[op.class] = transStep{pos: site.Call.Pos()}
+			if lc, ok := matchLockCall(n.Pkg.Info, site.Call); ok {
+				if lc.acquire() {
+					class := lc.class(n.Pkg, funcDisplayName(n.Decl))
+					if _, have := sum[class]; !have {
+						sum[class] = transStep{pos: site.Call.Pos()}
 						changed = true
 					}
 				}
@@ -170,9 +173,11 @@ func buildLockOrder(prog *Program) *lockOrderState {
 		return changed
 	})
 	st.scanPins()
+	w := &lockOrderWalk{st: st}
+	w.flow = &flow[heldSet, token.Pos]{leaf: w.leaf, expr: w.expr}
 	for _, n := range prog.Funcs() {
-		w := &lockOrderWalk{st: st, node: n, fnName: funcDisplayName(n.Decl), okLines: lockOrderOKLines(n.Pkg, n.Decl)}
-		w.stmts(n.Decl.Body.List, heldSet{})
+		w.node, w.fnName, w.okLines = n, funcDisplayName(n.Decl), lockOrderOKLines(n.Pkg, n.Decl)
+		w.flow.run(n.Decl.Body, heldSet{})
 	}
 	return st
 }
@@ -287,19 +292,9 @@ func (st *lockOrderState) addEdge(from, to lockClass, pos token.Pos, witness str
 
 // chain renders the call path by which fn comes to acquire class.
 func (st *lockOrderState) chain(fn *types.Func, class lockClass) string {
-	var hops []string
-	seen := map[*types.Func]bool{}
-	for fn != nil && !seen[fn] {
-		seen[fn] = true
-		hops = append(hops, fn.Name())
-		step, ok := st.summaries[fn][class]
-		if !ok {
-			break
-		}
-		if step.via == nil {
-			return fmt.Sprintf("%s locks it at %s", strings.Join(hops, " -> "), st.prog.Fset.Position(step.pos))
-		}
-		fn = step.via
+	hops, last := witnessChain(fn, func(f *types.Func) *types.Func { return st.summaries[f][class].via })
+	if step, ok := st.summaries[last][class]; ok && step.via == nil {
+		return fmt.Sprintf("%s locks it at %s", strings.Join(hops, " -> "), st.prog.Fset.Position(step.pos))
 	}
 	return strings.Join(hops, " -> ")
 }
@@ -315,10 +310,10 @@ func (h heldSet) clone() heldSet {
 	return out
 }
 
-// union merges other into h, keeping the earliest acquisition site —
+// join unions other into h, keeping the earliest acquisition site —
 // path-exists semantics: a lock held on either arm of a branch is held
 // on some path through the join.
-func (h heldSet) union(other heldSet) {
+func (h heldSet) join(other heldSet) {
 	for k, v := range other {
 		if cur, ok := h[k]; !ok || v < cur {
 			h[k] = v
@@ -326,27 +321,20 @@ func (h heldSet) union(other heldSet) {
 	}
 }
 
-// lockOrderWalk is the flow-sensitive held-set walk over one function.
+// lockOrderWalk is the flow-sensitive held-set walk; node, fnName and
+// okLines describe the function being walked.
 type lockOrderWalk struct {
 	st      *lockOrderState
 	node    *FuncNode
+	flow    *flow[heldSet, token.Pos]
 	fnName  string
 	okLines map[int]bool
 }
 
-func (w *lockOrderWalk) stmts(list []ast.Stmt, held heldSet) bool {
-	for _, s := range list {
-		if w.stmt(s, held) {
-			return true
-		}
-	}
-	return false
-}
-
-func (w *lockOrderWalk) stmt(s ast.Stmt, held heldSet) (terminated bool) {
+// leaf evaluates the calls of a statement without control flow of its
+// own against the current held set.
+func (w *lockOrderWalk) leaf(s ast.Stmt, held heldSet) bool {
 	switch s := s.(type) {
-	case *ast.BlockStmt:
-		return w.stmts(s.List, held)
 	case *ast.ExprStmt:
 		w.expr(s.X, held)
 	case *ast.AssignStmt:
@@ -375,7 +363,7 @@ func (w *lockOrderWalk) stmt(s ast.Stmt, held heldSet) (terminated bool) {
 		// A deferred unlock keeps the lock held through the rest of the
 		// body (that is the point); any other deferred call is treated
 		// as running with the current held set.
-		if op, ok := lockOp(w.node.Pkg, w.fnName, s.Call); ok && !op.acquire {
+		if lc, ok := matchLockCall(w.node.Pkg.Info, s.Call); ok && !lc.acquire() {
 			break
 		}
 		w.expr(s.Call, held)
@@ -386,116 +374,10 @@ func (w *lockOrderWalk) stmt(s ast.Stmt, held heldSet) (terminated bool) {
 			w.expr(arg, held)
 		}
 		if fl, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			w.stmts(fl.Body.List, heldSet{})
+			w.flow.run(fl.Body, heldSet{})
 		}
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			w.expr(r, held)
-		}
-		return true
-	case *ast.BranchStmt:
-		return true
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		w.expr(s.Cond, held)
-		thenSt := held.clone()
-		thenTerm := w.stmt(s.Body, thenSt)
-		if s.Else != nil {
-			elseSt := held.clone()
-			elseTerm := w.stmt(s.Else, elseSt)
-			switch {
-			case thenTerm && elseTerm:
-				return true
-			case thenTerm:
-				replaceHeld(held, elseSt)
-			case elseTerm:
-				replaceHeld(held, thenSt)
-			default:
-				replaceHeld(held, thenSt)
-				held.union(elseSt)
-			}
-			return false
-		}
-		if !thenTerm {
-			held.union(thenSt)
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			w.expr(s.Cond, held)
-		}
-		bodySt := held.clone()
-		bodyTerm := w.stmt(s.Body, bodySt)
-		if s.Post != nil {
-			w.stmt(s.Post, bodySt)
-		}
-		if !bodyTerm {
-			held.union(bodySt)
-		}
-	case *ast.RangeStmt:
-		w.expr(s.X, held)
-		bodySt := held.clone()
-		if !w.stmt(s.Body, bodySt) {
-			held.union(bodySt)
-		}
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			w.expr(s.Tag, held)
-		}
-		w.cases(s.Body, held)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		w.cases(s.Body, held)
-	case *ast.SelectStmt:
-		w.cases(s.Body, held)
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, held)
 	}
 	return false
-}
-
-func replaceHeld(dst, src heldSet) {
-	for k := range dst {
-		delete(dst, k)
-	}
-	for k, v := range src {
-		dst[k] = v
-	}
-}
-
-func (w *lockOrderWalk) cases(body *ast.BlockStmt, held heldSet) {
-	var out []heldSet
-	for _, c := range body.List {
-		var stmts []ast.Stmt
-		caseSt := held.clone()
-		switch c := c.(type) {
-		case *ast.CaseClause:
-			for _, e := range c.List {
-				w.expr(e, held)
-			}
-			stmts = c.Body
-		case *ast.CommClause:
-			if c.Comm != nil {
-				w.stmt(c.Comm, caseSt)
-			}
-			stmts = c.Body
-		}
-		if !w.stmts(stmts, caseSt) {
-			out = append(out, caseSt)
-		}
-	}
-	for _, o := range out {
-		held.union(o)
-	}
 }
 
 // expr processes every call inside e against the current held set.
@@ -509,7 +391,7 @@ func (w *lockOrderWalk) expr(e ast.Expr, held heldSet) {
 	case *ast.FuncLit:
 		// Not invoked here: the body runs with an unknown held set;
 		// analyze it with an empty one (under-approximation).
-		w.stmts(e.Body.List, heldSet{})
+		w.flow.run(e.Body, heldSet{})
 	case *ast.SelectorExpr:
 		w.expr(e.X, held)
 	case *ast.BinaryExpr:
@@ -553,25 +435,26 @@ func (w *lockOrderWalk) call(call *ast.CallExpr, held heldSet) {
 		for _, arg := range call.Args {
 			w.expr(arg, held)
 		}
-		w.stmts(fl.Body.List, held)
+		w.flow.run(fl.Body, held)
 		return
 	}
 	for _, arg := range call.Args {
 		w.expr(arg, held)
 	}
-	if op, ok := lockOp(w.node.Pkg, w.fnName, call); ok {
-		if !op.acquire {
-			delete(held, op.class)
+	if lc, ok := matchLockCall(w.node.Pkg.Info, call); ok {
+		class := lc.class(w.node.Pkg, w.fnName)
+		if !lc.acquire() {
+			delete(held, class)
 			return
 		}
 		for from, fpos := range held {
-			w.st.addEdge(from, op.class, call.Pos(),
+			w.st.addEdge(from, class, call.Pos(),
 				fmt.Sprintf("%s locks %s at %s while holding %s (since %s)",
-					w.fnName, op.class, w.pos(call.Pos()), from, w.pos(fpos)),
+					w.fnName, class, w.pos(call.Pos()), from, w.pos(fpos)),
 				w.okLines)
 		}
-		if _, have := held[op.class]; !have {
-			held[op.class] = call.Pos()
+		if _, have := held[class]; !have {
+			held[class] = call.Pos()
 		}
 		return
 	}
@@ -668,56 +551,26 @@ func shortWitness(w string) string {
 	return w
 }
 
-// lockOpInfo describes one mutex Lock/Unlock-family call.
-type lockOpInfo struct {
-	class   lockClass
-	acquire bool
-}
-
-// lockOp matches mu.Lock()/Unlock()/RLock()/RUnlock() (receiver type
-// named Mutex or RWMutex, matching lockguard) and computes the lock
-// class. fnName scopes function-local mutexes.
-func lockOp(pkg *Package, fnName string, call *ast.CallExpr) (lockOpInfo, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return lockOpInfo{}, false
-	}
-	var acquire bool
-	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		acquire = true
-	case "Unlock", "RUnlock":
-	default:
-		return lockOpInfo{}, false
-	}
-	fn := calleeFunc(pkg.Info, call)
-	if fn == nil {
-		return lockOpInfo{}, false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil || !isMutexTypeName(namedTypeName(sig.Recv().Type())) {
-		return lockOpInfo{}, false
-	}
+// class computes the lock class of a recognized lock call. fnName
+// scopes function-local mutexes.
+func (lc lockCall) class(pkg *Package, fnName string) lockClass {
 	pkgName := pkg.Types.Name()
-	owner := ast.Unparen(sel.X)
-	// t.Lock() on a type embedding the mutex: the owner expression's
+	mutex := ast.Unparen(lc.mutex)
+	// t.Lock() on a type embedding the mutex: the receiver expression's
 	// type is the embedding struct, not the mutex itself.
-	if tn := namedTypeName(pkg.Info.TypeOf(owner)); tn != "" && !isMutexTypeName(tn) {
-		return lockOpInfo{class: pkgName + "." + tn + "." + namedTypeName(sig.Recv().Type()), acquire: acquire}, true
+	if tn := namedTypeName(pkg.Info.TypeOf(mutex)); tn != "" && !isMutexTypeName(tn) {
+		return pkgName + "." + tn + "." + lc.recv
 	}
-	switch mu := owner.(type) {
-	case *ast.SelectorExpr:
-		if tn := namedTypeName(pkg.Info.TypeOf(mu.X)); tn != "" {
-			return lockOpInfo{class: pkgName + "." + tn + "." + mu.Sel.Name, acquire: acquire}, true
+	if lc.owner != nil {
+		if tn := namedTypeName(pkg.Info.TypeOf(lc.owner)); tn != "" {
+			return pkgName + "." + tn + "." + lc.field
 		}
-		return lockOpInfo{class: pkgName + "." + fnName + "." + types.ExprString(owner), acquire: acquire}, true
-	case *ast.Ident:
-		if obj := pkg.Info.ObjectOf(mu); obj != nil && obj.Parent() == pkg.Types.Scope() {
-			return lockOpInfo{class: pkgName + "." + mu.Name, acquire: acquire}, true
+	} else if id, ok := mutex.(*ast.Ident); ok {
+		if obj := pkg.Info.ObjectOf(id); obj != nil && obj.Parent() == pkg.Types.Scope() {
+			return pkgName + "." + lc.field
 		}
-		return lockOpInfo{class: pkgName + "." + fnName + "." + mu.Name, acquire: acquire}, true
 	}
-	return lockOpInfo{class: pkgName + "." + fnName + "." + types.ExprString(owner), acquire: acquire}, true
+	return pkgName + "." + fnName + "." + types.ExprString(mutex)
 }
 
 // findLockCycles returns one representative cycle (as its edge list)

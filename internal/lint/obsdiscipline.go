@@ -11,21 +11,22 @@ import (
 //
 // Lifecycles: a stage mark obtained from Trace.StageStart must reach a
 // Trace.StageEnd on every path, and a span obtained from StartSpan must
-// be ended with Span.End — both run on the PR 7 pairing engine, so
+// be ended with Span.End — both run on the pairing engine, so
 // deferred ends, ownership-transferring stores and the
 // //hennlint:transfers-ownership annotation all behave exactly like the
 // pool and refcount analyzers. A dropped StageEnd is not just a missing
 // datapoint: the stage histogram silently under-reports the exact code
 // path that was interesting enough to instrument.
 //
-// Label cardinality: a taint pass flags unbounded values — request
-// paths and query strings (URL fields), mux path values and form/header
-// inputs, trace ids (Trace.ID, NewTraceID), hex digests — flowing into
-// CounterVec/HistogramVec With label arguments, where each distinct
-// value mints a new series and an attacker-controlled input becomes an
-// unbounded-memory bug. Taint follows assignment chains, string
-// concatenation and the fmt/strings/strconv shaping helpers;
-// //hennlint:label-ok on the sink line audits a deliberate site.
+// Label cardinality: the shared taint engine (taint.go) flags unbounded
+// values — request paths and query strings (URL fields), mux path values
+// and form/header inputs, trace ids (Trace.ID, NewTraceID), hex digests
+// — flowing into CounterVec/HistogramVec With label arguments, where
+// each distinct value mints a new series and an attacker-controlled
+// input becomes an unbounded-memory bug. Taint follows assignment
+// chains, string concatenation and the fmt/strings/strconv shaping
+// helpers; //hennlint:label-ok on the sink line audits a deliberate
+// site.
 //
 // Read paths: functions annotated //hennlint:read-path (stats and
 // scrape handlers) must never reach the series-creating With — a scrape
@@ -79,70 +80,41 @@ var stagePairSpec = &pairSpec{
 func runObsdiscipline(p *Pass) error {
 	runPairing(p, spanPairSpec)
 	runPairing(p, stagePairSpec)
+	t := &taint{
+		info: p.Info,
+		source: func(e ast.Expr) bool {
+			sel, ok := e.(*ast.SelectorExpr)
+			if !ok || !urlUnboundedFields[sel.Sel.Name] {
+				return false
+			}
+			owner := namedTypeName(p.Info.TypeOf(sel.X))
+			return owner == "URL" || owner == "Request"
+		},
+		call: func(call *ast.CallExpr) (bool, []ast.Expr) { return labelCall(p.Info, call) },
+	}
 	for _, f := range p.Files {
-		ok := directiveLines(p.Fset, f, "label-ok")
+		okLines := directiveLines(p.Fset, f, "label-ok")
 		for _, decl := range f.Decls {
 			fd, isFunc := decl.(*ast.FuncDecl)
 			if !isFunc || fd.Body == nil {
 				continue
 			}
-			t := &labelTaint{p: p, okLines: ok, tainted: map[types.Object]bool{}}
-			t.propagate(fd.Body)
-			t.checkSinks(fd.Body)
+			t.check(fd.Body, func(call *ast.CallExpr) {
+				fn, recv := vecMethod(p.Info, call)
+				if fn == nil || fn.Name() != "With" || okLines[p.Fset.Position(call.Pos()).Line] {
+					return
+				}
+				for _, arg := range call.Args {
+					if t.taintedExpr(arg) {
+						p.Reportf(call.Pos(), "unbounded value %s becomes a %s.With label: every distinct value mints a new series (bound it, or audit with %slabel-ok)",
+							types.ExprString(arg), recv, directivePrefix)
+						return
+					}
+				}
+			})
 		}
 	}
 	return nil
-}
-
-// labelTaint is the per-function unbounded-label taint pass. It mirrors
-// secretflow's local fixpoint but with cardinality sources and the
-// series-creating With as its only sink.
-type labelTaint struct {
-	p       *Pass
-	okLines map[int]bool
-	tainted map[types.Object]bool
-}
-
-func (t *labelTaint) propagate(body *ast.BlockStmt) {
-	for {
-		grew := false
-		ast.Inspect(body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				if len(n.Lhs) == len(n.Rhs) {
-					for i := range n.Lhs {
-						grew = t.bind(n.Lhs[i], n.Rhs[i]) || grew
-					}
-				}
-			case *ast.ValueSpec:
-				if len(n.Names) == len(n.Values) {
-					for i := range n.Names {
-						grew = t.bind(n.Names[i], n.Values[i]) || grew
-					}
-				}
-			}
-			return true
-		})
-		if !grew {
-			return
-		}
-	}
-}
-
-func (t *labelTaint) bind(lhs, rhs ast.Expr) bool {
-	if !t.taintedExpr(rhs) {
-		return false
-	}
-	id, ok := ast.Unparen(lhs).(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return false
-	}
-	obj := t.p.Info.ObjectOf(id)
-	if obj == nil || t.tainted[obj] {
-		return false
-	}
-	t.tainted[obj] = true
-	return true
 }
 
 // urlUnboundedFields are the URL parts whose value space is the client's
@@ -151,73 +123,32 @@ var urlUnboundedFields = map[string]bool{
 	"Path": true, "RawPath": true, "RawQuery": true, "Opaque": true, "RequestURI": true,
 }
 
-// taintedExpr reports whether e carries an unbounded (client- or
-// id-derived) string.
-func (t *labelTaint) taintedExpr(e ast.Expr) bool {
-	e = ast.Unparen(e)
-	if e == nil {
-		return false
-	}
-	switch e := e.(type) {
-	case *ast.Ident:
-		if obj := t.p.Info.ObjectOf(e); obj != nil && t.tainted[obj] {
-			return true
-		}
-	case *ast.SelectorExpr:
-		owner := namedTypeName(t.p.Info.TypeOf(e.X))
-		if urlUnboundedFields[e.Sel.Name] && (owner == "URL" || owner == "Request") {
-			return true
-		}
-		return t.taintedExpr(e.X)
-	case *ast.IndexExpr:
-		return t.taintedExpr(e.X)
-	case *ast.SliceExpr:
-		return t.taintedExpr(e.X)
-	case *ast.StarExpr:
-		return t.taintedExpr(e.X)
-	case *ast.BinaryExpr:
-		// Concatenation keeps the unbounded part unbounded.
-		return t.taintedExpr(e.X) || t.taintedExpr(e.Y)
-	case *ast.CallExpr:
-		return t.taintedCall(e)
-	}
-	return false
-}
-
-// taintedCall classifies call results: unbounded sources are tainted
-// outright, string-shaping helpers propagate their arguments' taint,
-// conversions pass through, and every other call yields a fresh
-// (untainted) value.
-func (t *labelTaint) taintedCall(call *ast.CallExpr) bool {
-	// Conversions: string(b), MyString(s).
-	if tv, ok := t.p.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
-		return t.taintedExpr(call.Args[0])
-	}
-	fn := calleeFunc(t.p.Info, call)
+// labelCall classifies call results for the label taint: unbounded
+// sources are tainted outright, string-shaping helpers carry their
+// arguments' taint, and every other call yields a fresh (untainted)
+// value.
+func labelCall(info *types.Info, call *ast.CallExpr) (source bool, through []ast.Expr) {
+	fn := calleeFunc(info, call)
 	if fn == nil {
-		return false
+		return false, nil
 	}
 	sig, _ := fn.Type().(*types.Signature)
 	if sig != nil && sig.Recv() != nil {
 		recv := namedTypeName(sig.Recv().Type())
 		switch fn.Name() {
 		case "PathValue", "FormValue", "PostFormValue":
-			return true // mux wildcards and form fields are client input
+			return true, nil // mux wildcards and form fields are client input
 		case "Get":
-			if recv == "Header" || recv == "Values" {
-				return true
-			}
+			return recv == "Header" || recv == "Values", nil
 		case "ID":
-			if recv == "Trace" || recv == "Span" {
-				return true // trace ids are unique per request
-			}
+			return recv == "Trace" || recv == "Span", nil // trace ids are unique per request
 		case "String":
 			if recv == "URL" {
-				return true
+				return true, nil
 			}
-			return t.taintedExpr(ast.Unparen(call.Fun).(*ast.SelectorExpr).X)
+			return false, []ast.Expr{ast.Unparen(call.Fun).(*ast.SelectorExpr).X}
 		}
-		return false
+		return false, nil
 	}
 	pkgPath := ""
 	if fn.Pkg() != nil {
@@ -227,43 +158,11 @@ func (t *labelTaint) taintedCall(call *ast.CallExpr) bool {
 	case "fmt", "strings", "strconv", "path", "path/filepath":
 		// Shaping helpers: Sprintf, ToLower, Itoa... the result is as
 		// bounded as the inputs.
-		for _, arg := range call.Args {
-			if t.taintedExpr(arg) {
-				return true
-			}
-		}
-		return false
+		return false, call.Args
 	case "encoding/hex", "encoding/base64":
-		return true // digest/id rendering: unbounded by construction
+		return true, nil // digest/id rendering: unbounded by construction
 	}
-	if fn.Name() == "NewTraceID" {
-		return true
-	}
-	return false
-}
-
-func (t *labelTaint) checkSinks(body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn, recv := vecMethod(t.p.Info, call)
-		if fn == nil || fn.Name() != "With" {
-			return true
-		}
-		for _, arg := range call.Args {
-			if t.taintedExpr(arg) {
-				if t.okLines[t.p.Fset.Position(call.Pos()).Line] {
-					return true
-				}
-				t.p.Reportf(call.Pos(), "unbounded value %s becomes a %s.With label: every distinct value mints a new series (bound it, or audit with %slabel-ok)",
-					types.ExprString(arg), recv, directivePrefix)
-				return true
-			}
-		}
-		return true
-	})
+	return fn.Name() == "NewTraceID", nil
 }
 
 // vecMethod matches a method call on CounterVec/HistogramVec and
@@ -325,17 +224,13 @@ func runObsdisciplineProgram(pp *ProgramPass) error {
 		if s == nil {
 			continue
 		}
-		chain := []string{funcDisplayName(n.Decl)}
-		seen := map[*types.Func]bool{}
-		for via := s.via; via != nil && !seen[via]; {
-			seen[via] = true
-			chain = append(chain, via.Name())
-			next := reaches[via]
-			if next == nil {
-				break
+		chain, _ := witnessChain(n.Fn, func(f *types.Func) *types.Func {
+			if s := reaches[f]; s != nil {
+				return s.via
 			}
-			via = next.via
-		}
+			return nil
+		})
+		chain[0] = funcDisplayName(n.Decl)
 		pp.Reportf(s.pos, "read-path function %s reaches %s.With (call path %s): a scrape or stats read must not create series; use Find",
 			chain[0], s.recv, strings.Join(chain, " -> "))
 	}

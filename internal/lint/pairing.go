@@ -6,26 +6,28 @@ import (
 	"go/types"
 )
 
-// The acquire/release pairing engine shared by polypool and refbalance.
+// The acquire/release pairing engine shared by polypool, refbalance and
+// obsdiscipline's span and stage lifecycles.
 //
-// It is a forward abstract interpretation over the AST of each function
-// body (declared functions and function literals are analyzed as
-// independent scopes). A resource enters the tracked set when an acquire
-// call's result is bound to a local identifier; it leaves it when a
-// matching release call runs, when a matching release is deferred (defers
-// run on every return and on panic, so a deferred release covers the rest
-// of the function), or when ownership demonstrably leaves the function —
-// stored into a field, slice, map or composite literal, sent on a
-// channel, captured by a closure that releases it, or returned by a
-// function annotated //hennlint:transfers-ownership.
+// It runs the shared flow walker (flow.go) over each function body
+// (declared functions and function literals are analyzed as independent
+// scopes) with the tracked-resource set as its state. A resource enters
+// the tracked set when an acquire call's result is bound to a local
+// identifier; it leaves it when a matching release call runs, when a
+// matching release is deferred (defers run on every return and on panic,
+// so a deferred release covers the rest of the function), or when
+// ownership demonstrably leaves the function — stored into a field,
+// slice, map or composite literal, sent on a channel, captured by a
+// closure that releases it, or returned by a function annotated
+// //hennlint:transfers-ownership.
 //
-// At every return (explicit or fall-off-the-end) and at control-flow
-// joins, the engine checks the tracked set: a resource that is live on
-// the path being checked is a leak. Joins widen disagreeing states to
-// "maybe released", which is deliberately not reported — the engine
-// under-approximates at merges so it can stay silent on correct code; a
-// resource released on only one arm of a branch will still be caught on
-// any path that reaches a return while it is provably live.
+// At every return (explicit or fall-off-the-end) and at the end of every
+// loop iteration, the engine checks the tracked set: a resource that is
+// live on the path being checked is a leak. Joins widen disagreeing
+// states to "maybe released", which is deliberately not reported — the
+// engine under-approximates at merges so it can stay silent on correct
+// code; a resource released on only one arm of a branch will still be
+// caught on any path that reaches a return while it is provably live.
 
 // pairSpec configures one acquire/release discipline.
 type pairSpec struct {
@@ -78,8 +80,8 @@ func (st flowState) clone() flowState {
 	return out
 }
 
-// merge joins two branch states in place into st.
-func (st flowState) merge(other flowState) {
+// join merges another branch's state into st in place.
+func (st flowState) join(other flowState) {
 	for k, o := range other {
 		cur, ok := st[k]
 		if !ok {
@@ -117,33 +119,35 @@ func runPairing(p *Pass, spec *pairSpec) {
 			annotated[fn] = true
 		}
 	}
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
+	a := &pairAnalysis{pass: p, spec: spec, annotated: annotated}
+	f := &flow[flowState, *resource]{
+		leaf: a.leaf, expr: a.scanExpr, exit: a.checkExit,
+		// Pairing alone checks each iteration: a resource acquired and
+		// still live at the end of the body leaks once per iteration.
+		loopEnd: a.checkLoopBody,
+	}
+	for _, file := range p.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
 				if fn.Body != nil {
-					a := &pairAnalysis{
-						pass: p, spec: spec, annotated: annotated,
-						fnPos: fn.Pos(), fnEnd: fn.End(),
-						transfers: hasDirective(fn.Doc, spec.annotation),
-					}
-					a.run(fn.Body)
+					a.fnPos, a.fnEnd, a.transfers = fn.Pos(), fn.End(), hasDirective(fn.Doc, spec.annotation)
+					f.run(fn.Body, flowState{})
 				}
 			case *ast.FuncLit:
 				// Literals cannot carry doc annotations; a literal that
 				// needs to hand resources out should assign them to
 				// captured state, which the engine treats as an escape.
-				a := &pairAnalysis{
-					pass: p, spec: spec, annotated: annotated,
-					fnPos: fn.Pos(), fnEnd: fn.End(),
-				}
-				a.run(fn.Body)
+				a.fnPos, a.fnEnd, a.transfers = fn.Pos(), fn.End(), false
+				f.run(fn.Body, flowState{})
 			}
 			return true
 		})
 	}
 }
 
+// pairAnalysis is one spec's pass over a package; the fn fields describe
+// the function body being walked.
 type pairAnalysis struct {
 	pass      *Pass
 	spec      *pairSpec
@@ -151,14 +155,6 @@ type pairAnalysis struct {
 	fnPos     token.Pos
 	fnEnd     token.Pos
 	transfers bool // function is annotated transfers-ownership
-}
-
-func (a *pairAnalysis) run(body *ast.BlockStmt) {
-	st := flowState{}
-	terminated := a.walkStmts(body.List, st)
-	if !terminated {
-		a.checkExit(st, body.End(), nil)
-	}
 }
 
 // isAcquire matches direct acquire calls and calls to same-package
@@ -175,24 +171,13 @@ func (a *pairAnalysis) isAcquire(call *ast.CallExpr) (string, bool) {
 	return "", false
 }
 
-// walkStmts runs the statement list, returning whether every path
-// through it terminates (returns, panics, or branches away).
-func (a *pairAnalysis) walkStmts(stmts []ast.Stmt, st flowState) bool {
-	for _, s := range stmts {
-		if a.walkStmt(s, st) {
-			return true
-		}
-	}
-	return false
-}
-
-func (a *pairAnalysis) walkStmt(s ast.Stmt, st flowState) (terminated bool) {
+// leaf interprets the statements the walker hands back: acquires bound
+// by assignments and declarations, releases and escapes in calls, defers
+// and goroutines, and ownership sent away on a channel.
+func (a *pairAnalysis) leaf(s ast.Stmt, st flowState) bool {
 	switch s := s.(type) {
-	case *ast.BlockStmt:
-		return a.walkStmts(s.List, st)
-
 	case *ast.AssignStmt:
-		a.handleAssign(s, st)
+		a.handleBind(s.Lhs, s.Rhs, s.Tok, st)
 
 	case *ast.DeclStmt:
 		if gd, ok := s.Decl.(*ast.GenDecl); ok {
@@ -218,153 +203,8 @@ func (a *pairAnalysis) walkStmt(s ast.Stmt, st flowState) (terminated bool) {
 		// Sending a tracked resource on a channel transfers ownership.
 		a.escapeIdents(s.Value, st)
 		a.scanExpr(s.Chan, st)
-
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			a.scanExpr(r, st)
-		}
-		a.checkExit(st, s.Pos(), s.Results)
-		return true
-
-	case *ast.BranchStmt:
-		// break/continue/goto: stop tracking this path conservatively.
-		return true
-
-	case *ast.IfStmt:
-		if s.Init != nil {
-			a.walkStmt(s.Init, st)
-		}
-		a.scanExpr(s.Cond, st)
-		thenSt := st.clone()
-		thenTerm := a.walkStmt(s.Body, thenSt)
-		if s.Else != nil {
-			elseSt := st.clone()
-			elseTerm := a.walkStmt(s.Else, elseSt)
-			switch {
-			case thenTerm && elseTerm:
-				return true
-			case thenTerm:
-				replace(st, elseSt)
-			case elseTerm:
-				replace(st, thenSt)
-			default:
-				replace(st, thenSt)
-				st.merge(elseSt)
-			}
-			return false
-		}
-		if !thenTerm {
-			st.merge(thenSt)
-		}
-
-	case *ast.ForStmt:
-		if s.Init != nil {
-			a.walkStmt(s.Init, st)
-		}
-		if s.Cond != nil {
-			a.scanExpr(s.Cond, st)
-		}
-		bodySt := st.clone()
-		bodyTerm := a.walkStmt(s.Body, bodySt)
-		if s.Post != nil {
-			a.walkStmt(s.Post, bodySt)
-		}
-		a.checkLoopBody(st, bodySt, s.Body)
-		if !bodyTerm {
-			st.merge(bodySt)
-		}
-
-	case *ast.RangeStmt:
-		a.scanExpr(s.X, st)
-		bodySt := st.clone()
-		bodyTerm := a.walkStmt(s.Body, bodySt)
-		a.checkLoopBody(st, bodySt, s.Body)
-		if !bodyTerm {
-			st.merge(bodySt)
-		}
-
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			a.walkStmt(s.Init, st)
-		}
-		if s.Tag != nil {
-			a.scanExpr(s.Tag, st)
-		}
-		a.walkCases(s.Body, st)
-
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			a.walkStmt(s.Init, st)
-		}
-		a.walkCases(s.Body, st)
-
-	case *ast.SelectStmt:
-		a.walkCases(s.Body, st)
-
-	case *ast.LabeledStmt:
-		return a.walkStmt(s.Stmt, st)
-
-	case *ast.IncDecStmt, *ast.EmptyStmt:
-		// no resource effects
 	}
 	return false
-}
-
-// replace overwrites dst's contents with src's.
-func replace(dst, src flowState) {
-	for k := range dst {
-		delete(dst, k)
-	}
-	for k, v := range src {
-		dst[k] = v
-	}
-}
-
-// walkCases handles switch/type-switch/select bodies: every clause runs
-// on a copy of the incoming state and the survivors merge, together with
-// the fall-past path when no default clause exists.
-func (a *pairAnalysis) walkCases(body *ast.BlockStmt, st flowState) {
-	var out []flowState
-	hasDefault := false
-	for _, c := range body.List {
-		var stmts []ast.Stmt
-		switch c := c.(type) {
-		case *ast.CaseClause:
-			if c.List == nil {
-				hasDefault = true
-			}
-			for _, e := range c.List {
-				a.scanExpr(e, st)
-			}
-			stmts = c.Body
-		case *ast.CommClause:
-			if c.Comm == nil {
-				hasDefault = true
-			}
-			stmts = c.Body
-		}
-		caseSt := st.clone()
-		if c, ok := c.(*ast.CommClause); ok && c.Comm != nil {
-			a.walkStmt(c.Comm, caseSt)
-		}
-		if !a.walkStmts(stmts, caseSt) {
-			out = append(out, caseSt)
-		}
-	}
-	if len(out) == 0 {
-		// Every clause terminated. Without a default the zero-case path
-		// still falls through with the incoming state unchanged; with
-		// one, code after the switch is unreachable either way.
-		return
-	}
-	first := out[0]
-	for _, o := range out[1:] {
-		first.merge(o)
-	}
-	if !hasDefault {
-		first.merge(st)
-	}
-	replace(st, first)
 }
 
 // checkLoopBody reports resources acquired inside a loop body that are
@@ -418,12 +258,8 @@ func (a *pairAnalysis) checkExit(st flowState, pos token.Pos, results []ast.Expr
 	}
 }
 
-// handleAssign processes acquires bound to identifiers, escapes through
+// handleBind processes acquires bound to identifiers, escapes through
 // stores, and release-bearing closures on the right-hand side.
-func (a *pairAnalysis) handleAssign(s *ast.AssignStmt, st flowState) {
-	a.handleBind(s.Lhs, s.Rhs, s.Tok, st)
-}
-
 func (a *pairAnalysis) handleBind(lhs, rhs []ast.Expr, tok token.Token, st flowState) {
 	// v, w := acquire() — one multi-result acquire call.
 	if len(rhs) == 1 && len(lhs) >= 1 {

@@ -7,15 +7,15 @@ import (
 	"strings"
 )
 
-// Secretflow is a taint analysis that proves key material never leaves
-// the process. Sources are values of the secret-bearing types —
+// Secretflow is a taint analysis, on the shared taint engine (taint.go),
+// that proves key material never leaves the process. Sources are values of the secret-bearing types —
 // SecretKey, KeyGenerator, Sampler (matched by type name, like the rest
 // of the suite, so fixtures stay self-contained) — plus integer
 // variables with seed-like names inside the crypto packages (ckks,
 // ring), where a seed fully determines the secret key. Taint propagates
 // through selections, indexing, dereference, composite literals,
 // conversions, arithmetic (seed mixing) and local assignment chains; it
-// deliberately stops at ordinary call boundaries, so a Decryptor's
+// deliberately stops at every call boundary, so a Decryptor's
 // *output* — which callers legitimately print — is not tainted by the
 // secret key the Decryptor holds.
 //
@@ -57,160 +57,41 @@ func runSecretflow(p *Pass) error {
 	case "ckks", "ring":
 		seedScoped = true
 	}
+	s := &secretflowPass{p: p, t: &taint{info: p.Info, source: func(e ast.Expr) bool {
+		return secretSource(p.Info, seedScoped, e)
+	}}}
 	for _, f := range p.Files {
-		okLines := secretOKLines(p, f)
+		s.okLines = directiveLines(p.Fset, f, "secret-sink-ok")
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || hasDirective(fd.Doc, "secret-sink-ok") {
 				continue
 			}
-			s := &secretflowPass{p: p, seedScoped: seedScoped, okLines: okLines, tainted: map[types.Object]bool{}}
-			s.propagate(fd.Body)
-			s.checkSinks(fd.Body)
+			s.t.check(fd.Body, s.checkSinkCall)
 		}
 	}
 	return nil
 }
 
-// secretOKLines collects the lines whose sink reports the file audits
-// away: the directive suppresses a sink on its own line or on the line
-// directly below (the conventional spot for a standalone directive).
-func secretOKLines(p *Pass, f *ast.File) map[int]bool {
-	lines := map[int]bool{}
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			rest, ok := strings.CutPrefix(c.Text, directivePrefix)
-			if !ok {
-				continue
-			}
-			if rest == "secret-sink-ok" || strings.HasPrefix(rest, "secret-sink-ok ") {
-				line := p.Fset.Position(c.Pos()).Line
-				lines[line] = true
-				lines[line+1] = true
-			}
-		}
-	}
-	return lines
-}
-
 type secretflowPass struct {
-	p          *Pass
-	seedScoped bool
-	okLines    map[int]bool
-	tainted    map[types.Object]bool
+	p       *Pass
+	t       *taint
+	okLines map[int]bool
 }
 
-// propagate runs local assignments to a fixpoint so taint follows
-// chains like sk := kg.GenSecretKey(); q := sk.Q; raw := q.Coeffs.
-// Closure bodies are included: captured secrets stay secret.
-func (s *secretflowPass) propagate(body *ast.BlockStmt) {
-	for {
-		grew := false
-		ast.Inspect(body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				if len(n.Lhs) == len(n.Rhs) {
-					for i := range n.Lhs {
-						grew = s.bind(n.Lhs[i], n.Rhs[i]) || grew
-					}
-				}
-			case *ast.ValueSpec:
-				if len(n.Names) == len(n.Values) {
-					for i := range n.Names {
-						grew = s.bind(n.Names[i], n.Values[i]) || grew
-					}
-				}
-			case *ast.RangeStmt:
-				// for _, v := range tainted: the element is tainted.
-				if n.Value != nil && s.taintedExpr(n.X) {
-					grew = s.markIdent(n.Value) || grew
-				}
-				if n.Key != nil && s.taintedExpr(n.X) {
-					grew = s.markIdent(n.Key) || grew
-				}
-			}
-			return true
-		})
-		if !grew {
-			return
-		}
-	}
-}
-
-func (s *secretflowPass) bind(lhs, rhs ast.Expr) bool {
-	if !s.taintedExpr(rhs) {
-		return false
-	}
-	return s.markIdent(lhs)
-}
-
-func (s *secretflowPass) markIdent(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return false
-	}
-	obj := s.p.Info.ObjectOf(id)
-	if obj == nil || s.tainted[obj] {
-		return false
-	}
-	s.tainted[obj] = true
-	return true
-}
-
-// taintedExpr reports whether e carries secret material.
-func (s *secretflowPass) taintedExpr(e ast.Expr) bool {
-	e = ast.Unparen(e)
-	if e == nil {
-		return false
-	}
-	if secretType(s.p.Info.TypeOf(e)) {
+// secretSource reports whether e is secret by itself: a value of a
+// secret-bearing type or, inside the crypto packages, a seed-named
+// integer variable.
+func secretSource(info *types.Info, seedScoped bool, e ast.Expr) bool {
+	if secretType(info.TypeOf(e)) {
 		return true
 	}
-	switch e := e.(type) {
-	case *ast.Ident:
-		if obj := s.p.Info.ObjectOf(e); obj != nil {
-			if s.tainted[obj] {
-				return true
-			}
-			if s.seedScoped {
-				if v, ok := obj.(*types.Var); ok && seedName(e.Name) && isIntegerVar(v) {
-					return true
-				}
-			}
-		}
-	case *ast.SelectorExpr:
-		return s.taintedExpr(e.X)
-	case *ast.IndexExpr:
-		return s.taintedExpr(e.X)
-	case *ast.SliceExpr:
-		return s.taintedExpr(e.X)
-	case *ast.StarExpr:
-		return s.taintedExpr(e.X)
-	case *ast.UnaryExpr:
-		return s.taintedExpr(e.X)
-	case *ast.BinaryExpr:
-		// Seed mixing (seed ^ salt) stays tainted on either side.
-		return s.taintedExpr(e.X) || s.taintedExpr(e.Y)
-	case *ast.TypeAssertExpr:
-		return s.taintedExpr(e.X)
-	case *ast.CompositeLit:
-		for _, elt := range e.Elts {
-			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				elt = kv.Value
-			}
-			if s.taintedExpr(elt) {
-				return true
-			}
-		}
-	case *ast.CallExpr:
-		// Conversions propagate ([]byte(raw)); ordinary calls cut the
-		// flow — a function's result is a fresh value (decryption
-		// outputs are public by design).
-		if tv, ok := s.p.Info.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 {
-			return s.taintedExpr(e.Args[0])
-		}
+	id, ok := e.(*ast.Ident)
+	if !ok || !seedScoped || !seedName(id.Name) {
+		return false
 	}
-	return false
+	v, ok := info.ObjectOf(id).(*types.Var)
+	return ok && isIntegerVar(v)
 }
 
 // secretType reports whether t is (or wraps, through pointers, slices,
@@ -247,19 +128,6 @@ func isIntegerVar(v *types.Var) bool {
 	return ok && b.Info()&types.IsInteger != 0
 }
 
-// checkSinks walks every call in the function and reports tainted
-// values reaching a sink.
-func (s *secretflowPass) checkSinks(body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		s.checkSinkCall(call)
-		return true
-	})
-}
-
 func (s *secretflowPass) checkSinkCall(call *ast.CallExpr) {
 	fn := calleeFunc(s.p.Info, call)
 	if fn == nil {
@@ -293,7 +161,7 @@ func (s *secretflowPass) checkSinkCall(call *ast.CallExpr) {
 			return
 		}
 		// sk.MarshalBinary() and friends serialize their receiver.
-		if marshalSinkMethods[fn.Name()] && s.taintedExpr(selExpr.X) {
+		if marshalSinkMethods[fn.Name()] && s.t.taintedExpr(selExpr.X) {
 			s.report(call, types.ExprString(selExpr.X), fn.Name())
 			return
 		}
@@ -330,7 +198,7 @@ func (s *secretflowPass) checkSinkCall(call *ast.CallExpr) {
 }
 
 func (s *secretflowPass) reportIfTainted(call *ast.CallExpr, arg ast.Expr, sink string) {
-	if s.taintedExpr(arg) {
+	if s.t.taintedExpr(arg) {
 		s.report(call, types.ExprString(arg), sink)
 	}
 }

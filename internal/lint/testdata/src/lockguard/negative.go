@@ -115,3 +115,32 @@ func (d *scheduler) goodUnguarded(s *session) {
 	default:
 	}
 }
+
+// goodEveryClauseReturns unlocks and returns on every clause of a switch
+// with a default: no path falls out of the switch, so no path reaches
+// the end of the body with the lock held.
+func (d *scheduler) goodEveryClauseReturns(n int) int {
+	d.mu.Lock()
+	switch n {
+	case 0:
+		d.mu.Unlock()
+		return 0
+	default:
+		d.mu.Unlock()
+		return n
+	}
+}
+
+// goodEveryCommReturns is the select twin: without a default, one of
+// its clauses always runs.
+func (d *scheduler) goodEveryCommReturns(s *session, n int) int {
+	d.mu.Lock()
+	select {
+	case v := <-s.jobs:
+		d.mu.Unlock()
+		return v
+	case s.jobs <- n:
+		d.mu.Unlock()
+		return n
+	}
+}

@@ -76,3 +76,65 @@ func readers(r *rw, b *seqB) {
 	b.mu.Lock()
 	b.mu.Unlock()
 }
+
+// caseA is released on every clause of a switch (and of a select) that
+// has a default before caseB is taken, exactly as in the if/else twin;
+// a select without a default always runs one of its clauses, so it
+// releases caseA too. No caseA -> caseB edge exists, so bThenA closes no
+// cycle.
+type caseA struct{ mu sync.Mutex }
+type caseB struct{ mu sync.Mutex }
+
+func releaseEveryCase(a *caseA, b *caseB, x int) {
+	a.mu.Lock()
+	switch x {
+	case 1:
+		a.mu.Unlock()
+	default:
+		a.mu.Unlock()
+	}
+	b.mu.Lock()
+	b.mu.Unlock()
+}
+
+func releaseEveryComm(a *caseA, b *caseB, ch chan int) {
+	a.mu.Lock()
+	select {
+	case <-ch:
+		a.mu.Unlock()
+	default:
+		a.mu.Unlock()
+	}
+	b.mu.Lock()
+	b.mu.Unlock()
+}
+
+func releaseEveryRecv(a *caseA, b *caseB, ch chan int) {
+	a.mu.Lock()
+	select {
+	case <-ch:
+		a.mu.Unlock()
+	case ch <- 1:
+		a.mu.Unlock()
+	}
+	b.mu.Lock()
+	b.mu.Unlock()
+}
+
+func releaseEveryArm(a *caseA, b *caseB, x int) {
+	a.mu.Lock()
+	if x == 1 {
+		a.mu.Unlock()
+	} else {
+		a.mu.Unlock()
+	}
+	b.mu.Lock()
+	b.mu.Unlock()
+}
+
+func bThenA(a *caseA, b *caseB) {
+	b.mu.Lock()
+	a.mu.Lock()
+	a.mu.Unlock()
+	b.mu.Unlock()
+}

@@ -134,3 +134,16 @@ func hoistedLeak(ev *Evaluator, r *Ring, fail bool) error {
 	r.PutPoly(p)
 	return nil
 }
+
+func everyClauseReleases(r *Ring, n int) error {
+	p := r.GetPoly(n)
+	switch n {
+	case 0:
+		r.PutPoly(p)
+		return errBad
+	default:
+		use(p)
+		r.PutPoly(p)
+		return nil
+	}
+}
